@@ -7,7 +7,8 @@
 //! (bottom / known constant / known type / top), decides for every rule
 //! whether it can possibly fire (a contradiction or an empty body relation
 //! kills it), records column-type conflicts across the rules of one IDB, and
-//! marks the relations reachable from the program's outputs.
+//! copies in the relations reachable from the program's outputs (from
+//! [`DepGraph::reachable_from`]).
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -15,6 +16,7 @@ use raqlet_common::schema::RelationKind;
 use raqlet_common::{Value, ValueType};
 use raqlet_dlir::ir::{BodyElem, CmpOp, DlExpr, DlirProgram, Term};
 use raqlet_dlir::validate::bound_with_equalities;
+use raqlet_dlir::DepGraph;
 
 use crate::stats::EdbStats;
 
@@ -170,7 +172,8 @@ pub struct Dataflow {
     pub rule_dead: Vec<Option<DeadReason>>,
     /// Column-type conflicts across the rules of one IDB.
     pub type_conflicts: Vec<TypeConflict>,
-    /// Relations reachable from the program's outputs through rule bodies.
+    /// Relations reachable from the program's outputs through rule bodies
+    /// (positive and negated atoms both count), outputs included.
     pub reachable: BTreeSet<String>,
 }
 
@@ -266,7 +269,7 @@ pub fn analyze_dataflow(program: &DlirProgram, stats: Option<&EdbStats>) -> Data
     }
 
     collect_type_conflicts(program, &mut flow);
-    collect_reachability(program, &mut flow);
+    flow.reachable = DepGraph::build(program).reachable_from(&program.outputs);
     flow
 }
 
@@ -407,25 +410,6 @@ fn collect_type_conflicts(program: &DlirProgram, flow: &mut Dataflow) {
                     found: ty,
                     rule_index: index,
                 }),
-            }
-        }
-    }
-}
-
-/// Mark every relation reachable from the outputs through rule bodies
-/// (positive and negated atoms both count — a negated dependency is still a
-/// dependency).
-fn collect_reachability(program: &DlirProgram, flow: &mut Dataflow) {
-    let mut work: Vec<String> = program.outputs.clone();
-    while let Some(name) = work.pop() {
-        if !flow.reachable.insert(name.clone()) {
-            continue;
-        }
-        for rule in program.rules_for(&name) {
-            for dep in rule.dependencies() {
-                if !flow.reachable.contains(dep) {
-                    work.push(dep.to_string());
-                }
             }
         }
     }

@@ -6,14 +6,18 @@
 //!
 //! * [`mod@linearity`] — is every recursive rule *linear* (at most one recursive
 //!   atom in its body)? Backends limited to recursive CTEs require this.
-//! * [`mutual`] — does the program contain mutually recursive predicates
-//!   (an SCC with more than one member)? RDBMS backends reject these.
 //! * [`mod@monotonicity`] — is the program monotonic under set inclusion
 //!   (no negation, no aggregation over a recursive predicate)?
 //! * [`mod@termination`] — may the program fail to terminate (value-inventing
 //!   arithmetic in recursive rules without a bound or a lattice annotation)?
-//! * [`report`] — a combined [`AnalysisReport`] plus backend capability
-//!   checks used by the compiler driver to reject or warn early.
+//! * [`report`] — a combined [`AnalysisReport`] (including the groups of
+//!   mutually recursive predicates, which RDBMS backends reject) plus
+//!   backend capability checks used by the compiler driver to reject or
+//!   warn early.
+//!
+//! None of these works out SCCs, recursion or output reachability itself:
+//! [`raqlet_dlir::DepGraph`] computes the SCCs once per program and owns
+//! those facts, and every analysis and lint here reads them from it.
 //!
 //! On top of these sits **raqcheck**, the static-analysis and lint layer:
 //!
@@ -38,7 +42,6 @@ pub mod dataflow;
 pub mod linearity;
 pub mod lints;
 pub mod monotonicity;
-pub mod mutual;
 pub mod raqcheck;
 pub mod report;
 pub mod stats;
@@ -47,7 +50,6 @@ pub mod termination;
 pub use dataflow::{analyze_dataflow, AbsVal, Dataflow, DeadReason, TypeConflict};
 pub use linearity::{is_linear, linearity, Linearity};
 pub use monotonicity::{is_monotonic, monotonicity, Monotonicity};
-pub use mutual::{has_mutual_recursion, mutual_recursion_groups};
 pub use raqcheck::RaqCheck;
 pub use report::{analyze, check_backend, AnalysisReport, BackendCapabilities};
 pub use stats::{EdbStats, RelationStats};

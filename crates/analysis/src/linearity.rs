@@ -7,9 +7,7 @@
 //! closure `tc(x,y) :- tc(x,z), tc(z,y)`) must either be rejected for such
 //! backends or rewritten by the optimizer's linearization pass.
 
-use std::collections::BTreeMap;
-
-use raqlet_dlir::{DepGraph, DlirProgram, Rule};
+use raqlet_dlir::{DepGraph, DlirProgram};
 
 /// Linearity classification of a program.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,61 +28,25 @@ impl Linearity {
     }
 }
 
-/// Number of body atoms of `rule` that are in the same SCC as the head.
-pub fn recursive_atom_count(rule: &Rule, scc_of: &BTreeMap<String, usize>) -> usize {
-    let Some(head_scc) = scc_of.get(&rule.head.relation) else { return 0 };
-    rule.body
-        .iter()
-        .filter_map(|b| b.as_positive_atom())
-        .filter(|a| {
-            scc_of.get(&a.relation) == Some(head_scc) && is_scc_recursive(&a.relation, rule, scc_of)
-        })
-        .count()
-}
-
-/// A relation is considered recursive in this context if its SCC contains a
-/// cycle: either more than one member, or a direct self-dependency. We detect
-/// the latter conservatively via the rule under inspection: if the body atom
-/// names the head relation itself, it is recursive.
-fn is_scc_recursive(relation: &str, rule: &Rule, scc_of: &BTreeMap<String, usize>) -> bool {
-    if relation == rule.head.relation {
-        return true;
-    }
-    // Different relation in the same SCC => mutual recursion => recursive.
-    scc_of.get(relation) == scc_of.get(&rule.head.relation)
-}
-
 /// Classify the linearity of a DLIR program.
 pub fn linearity(program: &DlirProgram) -> Linearity {
     let graph = DepGraph::build(program);
-    let sccs = graph.sccs();
-    let mut scc_of = BTreeMap::new();
-    let mut scc_sizes = BTreeMap::new();
-    for (i, scc) in sccs.iter().enumerate() {
-        for n in scc {
-            scc_of.insert(n.clone(), i);
-            scc_sizes.insert(n.clone(), scc.len());
-        }
-    }
-
     let mut any_recursive = false;
     let mut offending = Vec::new();
     for (idx, rule) in program.rules.iter().enumerate() {
         let head = &rule.head.relation;
-        let head_recursive = graph.is_recursive(head);
-        if !head_recursive {
+        if !graph.is_recursive(head) {
             continue;
         }
         any_recursive = true;
+        // Recursive body atoms: those in the head's SCC (the head itself, or
+        // a relation it is mutually recursive with).
+        let head_scc = graph.scc_of(head);
         let count = rule
             .body
             .iter()
             .filter_map(|b| b.as_positive_atom())
-            .filter(|a| {
-                a.relation == *head
-                    || (scc_of.get(&a.relation) == scc_of.get(head)
-                        && scc_sizes.get(&a.relation).copied().unwrap_or(1) > 1)
-            })
+            .filter(|a| head_scc.contains(&a.relation))
             .count();
         if count > 1 {
             offending.push(idx);

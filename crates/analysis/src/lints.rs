@@ -355,18 +355,7 @@ pub fn lint_unbound_outputs(program: &DlirProgram) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     for output in &program.outputs {
         // The cone: every relation the output depends on, plus itself.
-        let mut cone: BTreeSet<String> = BTreeSet::new();
-        let mut work = vec![output.clone()];
-        while let Some(name) = work.pop() {
-            if !cone.insert(name.clone()) {
-                continue;
-            }
-            for rule in program.rules_for(&name) {
-                for dep in rule.dependencies() {
-                    work.push(dep.to_string());
-                }
-            }
-        }
+        let cone = graph.reachable_from(std::slice::from_ref(output));
         let recursive = cone.iter().any(|r| graph.is_recursive(r));
         if !recursive {
             continue;

@@ -10,7 +10,6 @@ use raqlet_dlir::{stratify, DepGraph, DlirProgram};
 
 use crate::linearity::{linearity, Linearity};
 use crate::monotonicity::{monotonicity, Monotonicity};
-use crate::mutual::mutual_recursion_groups;
 use crate::termination::{termination, TerminationRisk};
 
 /// The combined result of all DLIR-level static analyses.
@@ -18,7 +17,9 @@ use crate::termination::{termination, TerminationRisk};
 pub struct AnalysisReport {
     /// Linearity classification.
     pub linearity: Linearity,
-    /// Mutually recursive predicate groups (empty when none).
+    /// Mutually recursive predicate groups: the SCCs of the dependency graph
+    /// with more than one member, in dependency order (empty when none).
+    /// `WITH RECURSIVE` cannot express these, so SQL backends reject them.
     pub mutual_groups: Vec<Vec<String>>,
     /// Monotonicity classification.
     pub monotonicity: Monotonicity,
@@ -141,7 +142,7 @@ pub fn analyze(program: &DlirProgram) -> AnalysisReport {
     let looping_scc_count = groups.iter().filter(|g| g.looping).count();
     AnalysisReport {
         linearity: lin,
-        mutual_groups: mutual_recursion_groups(program),
+        mutual_groups: graph.sccs().iter().filter(|scc| scc.len() > 1).cloned().collect(),
         monotonicity: monotonicity(program),
         termination_risks: termination(program),
         stratum_count: stratify(program).ok().map(|s| s.len()),
@@ -286,6 +287,54 @@ mod tests {
         ));
         let err = check_backend(&p, &BackendCapabilities::recursive_sql()).unwrap_err();
         assert!(err.to_string().contains("mutual"));
+    }
+
+    #[test]
+    fn self_recursion_is_not_mutual() {
+        let report = analyze(&linear_tc());
+        assert!(!report.has_mutual_recursion());
+        assert!(report.mutual_groups.is_empty());
+    }
+
+    #[test]
+    fn even_odd_is_mutual() {
+        let mut p = DlirProgram::default();
+        p.add_rule(Rule::new(Atom::with_vars("even", &["x"]), vec![atom("zero", &["x"])]));
+        p.add_rule(Rule::new(
+            Atom::with_vars("even", &["x"]),
+            vec![atom("odd", &["y"]), atom("succ", &["y", "x"])],
+        ));
+        p.add_rule(Rule::new(
+            Atom::with_vars("odd", &["x"]),
+            vec![atom("even", &["y"]), atom("succ", &["y", "x"])],
+        ));
+        let report = analyze(&p);
+        assert!(report.has_mutual_recursion());
+        assert_eq!(report.mutual_groups.len(), 1);
+        let mut g = report.mutual_groups[0].clone();
+        g.sort();
+        assert_eq!(g, vec!["even".to_string(), "odd".to_string()]);
+    }
+
+    #[test]
+    fn non_recursive_program_has_no_groups() {
+        let mut p = DlirProgram::default();
+        p.add_rule(Rule::new(Atom::with_vars("q", &["x"]), vec![atom("edge", &["x", "y"])]));
+        assert!(!analyze(&p).has_mutual_recursion());
+    }
+
+    #[test]
+    fn three_way_cycle_is_one_group() {
+        let mut p = DlirProgram::default();
+        p.add_rule(Rule::new(Atom::with_vars("a", &["x"]), vec![atom("b", &["x"])]));
+        p.add_rule(Rule::new(Atom::with_vars("b", &["x"]), vec![atom("c", &["x"])]));
+        p.add_rule(Rule::new(
+            Atom::with_vars("c", &["x"]),
+            vec![atom("a", &["x"]), atom("base", &["x"])],
+        ));
+        let groups = analyze(&p).mutual_groups;
+        assert_eq!(groups.len(), 1);
+        assert_eq!(groups[0].len(), 3);
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //!
 //! * *value invention*: arithmetic in a recursive rule (e.g. `l = l0 + 1`)
 //!   creates values not present in the EDBs, so the Herbrand universe is no
-//!   longer finite. This is fine if the new value is bounded by a comparison
-//!   in the same rule, or if the relation carries a `@min`/`@max` lattice
+//!   longer finite. This is fine if the new value (or an operand of the
+//!   arithmetic) is bounded by a comparison against a constant in the same
+//!   rule, or if the relation carries a `@min`/`@max` lattice
 //!   annotation (distances can only improve, so the fixpoint still converges
 //!   on cyclic data);
 //! * *bag semantics*: not applicable here — all Raqlet relations are sets.
@@ -15,7 +16,7 @@
 //! goal of warning users that "their queries may not terminate under certain
 //! conditions, for example over cyclic data".
 
-use raqlet_dlir::{BodyElem, DepGraph, DlExpr, DlirProgram, LatticeMerge};
+use raqlet_dlir::{BodyElem, CmpOp, DepGraph, DlExpr, DlirProgram, LatticeMerge};
 
 /// One potential non-termination risk.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,28 +43,33 @@ pub fn termination(program: &DlirProgram) -> Vec<TerminationRisk> {
             continue;
         }
 
-        // Does the rule invent values via arithmetic?
-        let invents: Vec<&BodyElem> = rule
-            .body
-            .iter()
-            .filter(|b| {
-                matches!(
-                    b,
-                    BodyElem::Constraint { lhs: DlExpr::Arith { .. }, .. }
-                        | BodyElem::Constraint { rhs: DlExpr::Arith { .. }, .. }
-                )
-            })
-            .collect();
-        if invents.is_empty() {
+        // Does the rule invent values via arithmetic? Collect the variables
+        // of those constraints: the assigned variable and the operands.
+        let mut invented = Vec::new();
+        for elem in &rule.body {
+            if let BodyElem::Constraint { lhs, rhs, .. } = elem {
+                if matches!(lhs, DlExpr::Arith { .. }) || matches!(rhs, DlExpr::Arith { .. }) {
+                    lhs.variables(&mut invented);
+                    rhs.variables(&mut invented);
+                }
+            }
+        }
+        if invented.is_empty() {
             continue;
         }
 
-        // A bound on the invented variable (a non-equality comparison against
-        // a constant in the same rule) restores termination.
+        // A bound on one of those variables (a non-equality comparison of an
+        // expression over it against a constant, in the same rule) restores
+        // termination. A comparison on an unrelated variable does not.
         let has_bound = rule.body.iter().any(|b| match b {
-            BodyElem::Constraint { op, lhs, rhs } => {
-                !matches!(op, raqlet_dlir::CmpOp::Eq)
-                    && (matches!(lhs, DlExpr::Const(_)) || matches!(rhs, DlExpr::Const(_)))
+            BodyElem::Constraint { op, lhs, rhs } if !matches!(op, CmpOp::Eq) => {
+                let bounded = match (lhs, rhs) {
+                    (DlExpr::Const(_), e) | (e, DlExpr::Const(_)) => e,
+                    _ => return false,
+                };
+                let mut vars = Vec::new();
+                bounded.variables(&mut vars);
+                vars.iter().any(|v| invented.contains(v))
             }
             _ => false,
         });
@@ -84,7 +90,7 @@ pub fn termination(program: &DlirProgram) -> Vec<TerminationRisk> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use raqlet_dlir::{ArithOp, Atom, BodyElem, CmpOp, Rule};
+    use raqlet_dlir::{ArithOp, Atom, BodyElem, Rule};
 
     fn atom(name: &str, vars: &[&str]) -> BodyElem {
         BodyElem::Atom(Atom::with_vars(name, vars))
@@ -146,6 +152,34 @@ mod tests {
                 BodyElem::Constraint { op: CmpOp::Lt, lhs: DlExpr::var("l0"), rhs: DlExpr::int(5) },
             ],
         ));
+        assert!(termination(&p).is_empty());
+    }
+
+    #[test]
+    fn bound_on_an_unrelated_variable_is_not_a_bound() {
+        // dist(s, d, l) :- dist(s, m, l0), edge(m, d), l = l0 + 1, d < 5.
+        let mut p = DlirProgram::default();
+        p.add_rule(Rule::new(
+            Atom::with_vars("dist", &["s", "d", "l"]),
+            vec![atom("edge", &["s", "d"]), BodyElem::eq(DlExpr::var("l"), DlExpr::int(1))],
+        ));
+        p.add_rule(Rule::new(
+            Atom::with_vars("dist", &["s", "d", "l"]),
+            vec![
+                atom("dist", &["s", "m", "l0"]),
+                atom("edge", &["m", "d"]),
+                plus_one("l", "l0"),
+                BodyElem::Constraint { op: CmpOp::Lt, lhs: DlExpr::var("d"), rhs: DlExpr::int(5) },
+            ],
+        ));
+        let risks = termination(&p);
+        assert_eq!(risks.len(), 1);
+        assert_eq!(risks[0].rule_index, 1);
+
+        // Bounding the assigned variable itself, constant on the left, is a
+        // bound.
+        p.rules[1].body[3] =
+            BodyElem::Constraint { op: CmpOp::Gt, lhs: DlExpr::int(5), rhs: DlExpr::var("l") };
         assert!(termination(&p).is_empty());
     }
 

@@ -1,10 +1,20 @@
-//! Predicate dependency graph and strongly connected components.
+//! Predicate dependency graph: the one fact base for SCCs, recursion and
+//! reachability.
 //!
 //! The dependency graph has one vertex per relation; there is an edge
 //! `p → q` when some rule with head `p` mentions `q` in its body. Edges are
 //! tagged with the polarity (positive / negated) and with whether the rule
-//! also aggregates. The SCCs of this graph drive recursion detection,
-//! stratification and the evaluation order used by the Datalog engine.
+//! also aggregates.
+//!
+//! [`DepGraph::build`] runs Tarjan's algorithm once and stores the strongly
+//! connected components with a relation → component index. Every other
+//! crate asks this graph, and only this graph, which relations share an SCC
+//! ([`DepGraph::scc_of`]), which are recursive ([`DepGraph::is_recursive`]),
+//! how a relation set condenses into evaluation groups
+//! ([`DepGraph::condense`]) and which relations an output depends on
+//! ([`DepGraph::reachable_from`]). Stratification, linearity, mutual
+//! recursion, magic sets, dead-rule elimination, the lints, the SQL lowering
+//! and the Datalog engine's SCC schedule all read these lookups.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -21,17 +31,22 @@ pub enum DepKind {
     Aggregated,
 }
 
-/// The predicate dependency graph of a DLIR program.
+/// The predicate dependency graph of a DLIR program, with its strongly
+/// connected components.
 #[derive(Debug, Clone, Default)]
 pub struct DepGraph {
     /// Adjacency: for each head relation, the relations it depends on.
     edges: BTreeMap<String, Vec<(String, DepKind)>>,
     /// All relation names appearing anywhere (heads and bodies).
     nodes: BTreeSet<String>,
+    /// Strongly connected components in dependency order.
+    sccs: Vec<Vec<String>>,
+    /// Index into `sccs` of the component holding each node.
+    scc_index: BTreeMap<String, usize>,
 }
 
 impl DepGraph {
-    /// Build the dependency graph of a program.
+    /// Build the dependency graph of a program and compute its SCCs.
     pub fn build(program: &DlirProgram) -> Self {
         let mut graph = DepGraph::default();
         for rule in &program.rules {
@@ -47,6 +62,12 @@ impl DepGraph {
             for dep in rule.negative_dependencies() {
                 graph.nodes.insert(dep.to_string());
                 entry.push((dep.to_string(), DepKind::Negative));
+            }
+        }
+        graph.sccs = graph.tarjan();
+        for (i, scc) in graph.sccs.iter().enumerate() {
+            for name in scc {
+                graph.scc_index.insert(name.clone(), i);
             }
         }
         graph
@@ -68,9 +89,68 @@ impl DepGraph {
     }
 
     /// Strongly connected components in reverse topological order
-    /// (dependencies come before dependents), computed with Tarjan's
-    /// algorithm.
-    pub fn sccs(&self) -> Vec<Vec<String>> {
+    /// (dependencies come before dependents).
+    pub fn sccs(&self) -> &[Vec<String>] {
+        &self.sccs
+    }
+
+    /// The SCC containing `name` (a singleton for non-recursive relations;
+    /// empty for relations the program never mentions).
+    pub fn scc_of(&self, name: &str) -> &[String] {
+        self.scc_index.get(name).map_or(&[], |&i| &self.sccs[i])
+    }
+
+    /// True if the relation is recursive: it is in a multi-element SCC, or it
+    /// depends directly on itself.
+    pub fn is_recursive(&self, name: &str) -> bool {
+        self.scc_of(name).len() > 1 || self.depends_on(name, name)
+    }
+
+    /// Every relation reachable from `roots` along dependency edges of any
+    /// kind (a negated or aggregated dependency is still a dependency), the
+    /// roots included even when no rule mentions them.
+    pub fn reachable_from(&self, roots: &[String]) -> BTreeSet<String> {
+        let mut seen = BTreeSet::new();
+        let mut work: Vec<&str> = roots.iter().map(String::as_str).collect();
+        while let Some(name) = work.pop() {
+            if seen.insert(name.to_string()) {
+                work.extend(self.dependencies_of(name).iter().map(|(dep, _)| dep.as_str()));
+            }
+        }
+        seen
+    }
+
+    /// Condense the subgraph induced by `members` into its strongly
+    /// connected components, in dependency order (a component's
+    /// dependencies among `members` always precede it). Each group is
+    /// marked `looping` when a fixpoint is required: either the component
+    /// has more than one relation (mutual recursion) or its single relation
+    /// depends directly on itself. Members unknown to the graph (heads of
+    /// fact rules never referenced elsewhere, for example) come back as
+    /// non-looping singletons.
+    pub fn condense(&self, members: &[String]) -> Vec<SccGroup> {
+        let wanted: BTreeSet<&String> = members.iter().collect();
+        let mut groups = Vec::new();
+        for scc in &self.sccs {
+            let relations: Vec<String> =
+                scc.iter().filter(|n| wanted.contains(n)).cloned().collect();
+            if relations.is_empty() {
+                continue;
+            }
+            let looping = relations.len() > 1 || relations.iter().any(|r| self.depends_on(r, r));
+            groups.push(SccGroup { relations, looping });
+        }
+        for member in members {
+            if !self.scc_index.contains_key(member) {
+                groups.push(SccGroup { relations: vec![member.clone()], looping: false });
+            }
+        }
+        groups
+    }
+
+    /// Tarjan's algorithm over the adjacency built so far; called once, by
+    /// [`DepGraph::build`].
+    fn tarjan(&self) -> Vec<Vec<String>> {
         struct Tarjan<'g> {
             graph: &'g DepGraph,
             index: usize,
@@ -139,54 +219,6 @@ impl DepGraph {
             }
         }
         t.sccs
-    }
-
-    /// The SCC containing `name` (singleton for non-recursive relations).
-    pub fn scc_of(&self, name: &str) -> Vec<String> {
-        self.sccs()
-            .into_iter()
-            .find(|scc| scc.iter().any(|n| n == name))
-            .unwrap_or_else(|| vec![name.to_string()])
-    }
-
-    /// True if the relation is recursive: it is in a multi-element SCC, or it
-    /// depends directly on itself.
-    pub fn is_recursive(&self, name: &str) -> bool {
-        self.depends_on(name, name) || self.scc_of(name).len() > 1
-    }
-
-    /// All recursive relations.
-    pub fn recursive_relations(&self) -> Vec<String> {
-        self.nodes.iter().filter(|n| self.is_recursive(n)).cloned().collect()
-    }
-
-    /// Condense the subgraph induced by `members` into its strongly
-    /// connected components, in dependency order (a component's
-    /// dependencies among `members` always precede it). Each group is
-    /// marked `looping` when a fixpoint is required: either the component
-    /// has more than one relation (mutual recursion) or its single relation
-    /// depends directly on itself. Members unknown to the graph (heads of
-    /// fact rules never referenced elsewhere, for example) come back as
-    /// non-looping singletons.
-    pub fn condense(&self, members: &[String]) -> Vec<SccGroup> {
-        let wanted: BTreeSet<&String> = members.iter().collect();
-        let mut groups = Vec::new();
-        let mut placed: BTreeSet<String> = BTreeSet::new();
-        for scc in self.sccs() {
-            let relations: Vec<String> = scc.into_iter().filter(|n| wanted.contains(n)).collect();
-            if relations.is_empty() {
-                continue;
-            }
-            placed.extend(relations.iter().cloned());
-            let looping = relations.len() > 1 || relations.iter().any(|r| self.depends_on(r, r));
-            groups.push(SccGroup { relations, looping });
-        }
-        for member in members {
-            if !placed.contains(member) {
-                groups.push(SccGroup { relations: vec![member.clone()], looping: false });
-            }
-        }
-        groups
     }
 }
 
@@ -273,7 +305,8 @@ mod tests {
         let g = DepGraph::build(&program_tc());
         assert!(g.is_recursive("tc"));
         assert!(!g.is_recursive("edge"));
-        assert_eq!(g.recursive_relations(), vec!["tc"]);
+        let recursive: Vec<&String> = g.nodes().filter(|n| g.is_recursive(n)).collect();
+        assert_eq!(recursive, vec!["tc"]);
     }
 
     #[test]
@@ -284,6 +317,66 @@ mod tests {
         assert!(scc.contains(&"odd".to_string()));
         assert!(g.is_recursive("even"));
         assert!(g.is_recursive("odd"));
+        assert_eq!(g.scc_of("zero"), ["zero".to_string()]);
+        assert!(g.scc_of("ghost").is_empty());
+    }
+
+    #[test]
+    fn scc_index_matches_the_components() {
+        let g = DepGraph::build(&program_mutual());
+        for (i, scc) in g.sccs().iter().enumerate() {
+            for name in scc {
+                assert_eq!(g.scc_index[name], i);
+                assert_eq!(g.scc_of(name), scc.as_slice());
+            }
+        }
+        assert!(g.scc_index.keys().eq(g.nodes()));
+    }
+
+    #[test]
+    fn reachability_follows_negated_edges() {
+        let mut p = program_tc();
+        p.add_rule(Rule::new(
+            Atom::with_vars("unreachable", &["x"]),
+            vec![
+                BodyElem::Atom(Atom::with_vars("node", &["x"])),
+                BodyElem::Negated(Atom::with_vars("tc", &["s", "x"])),
+            ],
+        ));
+        p.add_rule(Rule::new(
+            Atom::with_vars("orphan", &["x"]),
+            vec![BodyElem::Atom(Atom::with_vars("raw", &["x"]))],
+        ));
+        let g = DepGraph::build(&p);
+        let live = g.reachable_from(&["unreachable".to_string()]);
+        let expected: BTreeSet<String> =
+            ["unreachable", "node", "tc", "edge"].iter().map(|s| s.to_string()).collect();
+        assert_eq!(live, expected);
+    }
+
+    #[test]
+    fn reachability_from_no_roots_is_empty() {
+        let g = DepGraph::build(&program_tc());
+        assert!(g.reachable_from(&[]).is_empty());
+    }
+
+    #[test]
+    fn reachability_covers_recursive_cones_and_unknown_roots() {
+        let mut p = program_mutual();
+        p.add_rule(Rule::new(
+            Atom::with_vars("out", &["x"]),
+            vec![BodyElem::Atom(Atom::with_vars("odd", &["x"]))],
+        ));
+        let g = DepGraph::build(&p);
+        let cone = g.reachable_from(&["out".to_string()]);
+        let expected: BTreeSet<String> =
+            ["out", "odd", "even", "zero", "succ"].iter().map(|s| s.to_string()).collect();
+        assert_eq!(cone, expected);
+        // A recursive relation reaches its own SCC; a root no rule mentions
+        // is still reported.
+        assert!(g.reachable_from(&["even".to_string()]).contains("odd"));
+        let ghost = g.reachable_from(&["ghost".to_string()]);
+        assert_eq!(ghost.into_iter().collect::<Vec<_>>(), vec!["ghost".to_string()]);
     }
 
     #[test]

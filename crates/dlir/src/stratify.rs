@@ -50,38 +50,24 @@ impl Stratification {
 /// Compute a stratification, or explain why none exists.
 pub fn stratify(program: &DlirProgram) -> Result<Stratification> {
     let graph = DepGraph::build(program);
-    let sccs = graph.sccs();
-
-    // Map each relation to its SCC index (SCCs are already in dependency
-    // order: dependencies before dependents).
-    let mut scc_of: BTreeMap<String, usize> = BTreeMap::new();
-    for (i, scc) in sccs.iter().enumerate() {
-        for n in scc {
-            scc_of.insert(n.clone(), i);
-        }
-    }
 
     // Reject negation / aggregation inside an SCC (a cycle through a
-    // non-monotonic operator).
+    // non-monotonic operator). A dependency in the head's own SCC is on a
+    // cycle: either the SCC has several members, or the dependency is the
+    // head itself.
     for rule in &program.rules {
-        let head_scc = scc_of[&rule.head.relation];
-        let aggregated = rule.aggregation.is_some();
+        let head_scc = graph.scc_of(&rule.head.relation);
         for dep in rule.negative_dependencies() {
-            if scc_of.get(dep) == Some(&head_scc)
-                && sccs[head_scc].len() + usize::from(graph.depends_on(dep, dep)) > 1
-                || dep == rule.head.relation
-            {
+            if head_scc.iter().any(|r| r == dep) {
                 return Err(RaqletError::semantic(format!(
                     "RAQ106: program is not stratifiable: `{}` depends on `{}` through negation inside a cycle",
                     rule.head.relation, dep
                 )));
             }
         }
-        if aggregated {
+        if rule.aggregation.is_some() {
             for dep in rule.positive_dependencies() {
-                let same_scc = scc_of.get(dep) == Some(&head_scc);
-                let cyclic = sccs[head_scc].len() > 1 || dep == rule.head.relation;
-                if same_scc && cyclic {
+                if head_scc.iter().any(|r| r == dep) {
                     return Err(RaqletError::semantic(format!(
                         "RAQ107: program is not stratifiable: `{}` aggregates over `{}` inside a cycle",
                         rule.head.relation, dep
@@ -95,7 +81,7 @@ pub fn stratify(program: &DlirProgram) -> Result<Stratification> {
     // the maximum over (dep stratum) for positive deps and (dep stratum + 1)
     // for negative/aggregated deps, and all members of an SCC share a stratum.
     let mut stratum_of: BTreeMap<String, usize> = BTreeMap::new();
-    for scc in &sccs {
+    for scc in graph.sccs() {
         let mut stratum = 0usize;
         for member in scc {
             for (dep, kind) in graph.dependencies_of(member) {
@@ -118,7 +104,7 @@ pub fn stratify(program: &DlirProgram) -> Result<Stratification> {
     // Group IDBs (and referenced EDBs) by stratum.
     let max_stratum = stratum_of.values().copied().max().unwrap_or(0);
     let mut strata: Vec<Vec<String>> = vec![Vec::new(); max_stratum + 1];
-    for scc in &sccs {
+    for scc in graph.sccs() {
         for member in scc {
             strata[stratum_of[member]].push(member.clone());
         }

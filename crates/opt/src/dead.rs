@@ -5,29 +5,12 @@
 //! from the program's `.output` relations in the predicate dependency graph —
 //! turning Figure 4a into Figure 4b in the paper's running example.
 
-use std::collections::BTreeSet;
-
-use raqlet_dlir::DlirProgram;
+use raqlet_dlir::{DepGraph, DlirProgram};
 
 /// Remove rules that cannot contribute to any output relation. Returns the
 /// rewritten program and whether anything was removed.
 pub fn eliminate_dead_rules(program: &DlirProgram) -> (DlirProgram, bool) {
-    // Compute the set of relations reachable from the outputs by walking
-    // rule bodies transitively.
-    let mut live: BTreeSet<String> = program.outputs.iter().cloned().collect();
-    loop {
-        let mut changed = false;
-        for rule in &program.rules {
-            if live.contains(&rule.head.relation) {
-                for dep in rule.dependencies() {
-                    changed |= live.insert(dep.to_string());
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
+    let live = DepGraph::build(program).reachable_from(&program.outputs);
 
     let mut out = DlirProgram::new(program.schema.clone());
     out.outputs = program.outputs.clone();

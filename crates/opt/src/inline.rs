@@ -63,7 +63,7 @@ fn inline_once(program: &DlirProgram, config: &InlineConfig) -> (DlirProgram, bo
         // Try to inline the first inlinable atom in each rule; iterating the
         // pass handles the rest.
         let target = rule.body.iter().enumerate().find_map(|(i, elem)| match elem {
-            BodyElem::Atom(atom) if inlinable(program, &graph, rule, atom, config) => Some(i),
+            BodyElem::Atom(atom) if inlinable(program, &graph, atom, config) => Some(i),
             _ => None,
         });
         if let Some(idx) = target {
@@ -91,21 +91,13 @@ fn new_rules_counter() -> u32 {
     0
 }
 
-/// Is `atom` a call site we can inline into `caller`?
-fn inlinable(
-    program: &DlirProgram,
-    graph: &DepGraph,
-    caller: &Rule,
-    atom: &Atom,
-    config: &InlineConfig,
-) -> bool {
+/// Is `atom` a call site we can inline?
+fn inlinable(program: &DlirProgram, graph: &DepGraph, atom: &Atom, config: &InlineConfig) -> bool {
     let name = &atom.relation;
     if !program.is_idb(name) {
         return false;
     }
-    if graph.is_recursive(name)
-        || graph.is_recursive(&caller.head.relation) && name == &caller.head.relation
-    {
+    if graph.is_recursive(name) {
         return false;
     }
     let defs = program.rules_for(name);

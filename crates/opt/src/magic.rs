@@ -112,6 +112,7 @@ fn try_transform(
     // right-linear chains both satisfy this for reachability-style rules on
     // at least one bound column).
     let mut propagating_positions: Vec<usize> = bound.iter().map(|(i, _)| *i).collect();
+    let target_scc = graph.scc_of(target);
     for def in &defs {
         if def.aggregation.is_some() {
             return None;
@@ -120,7 +121,7 @@ fn try_transform(
             .body
             .iter()
             .filter_map(|b| b.as_positive_atom())
-            .filter(|a| graph.scc_of(target).contains(&a.relation))
+            .filter(|a| target_scc.contains(&a.relation))
             .collect();
         if recursive_atoms.len() > 1 {
             return None;
